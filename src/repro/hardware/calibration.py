@@ -22,9 +22,8 @@ averages of :class:`~repro.hardware.devices.DeviceSpec`:
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -218,12 +217,9 @@ def generate_calibration(
         links[edge] = LinkCalibration(cnot_error=error, duration_ns=duration)
 
     crosstalk: Dict[Tuple[int, Edge], CrosstalkEntry] = {}
-    # One memo lookup for the whole loop: the per-combination sweep touches
-    # thousands of pairs on the larger heavy-hex devices.
-    distances = _distance_lookup(device)
-    for qubit, link in device.qubit_link_combinations():
+    combinations = device.qubit_link_combinations()
+    for (qubit, link), dist in zip(combinations, _link_distances(device, combinations)):
         link = _canonical_link(link)
-        dist = min(distances(qubit, link[0]), distances(qubit, link[1]))
         if dist <= 1:
             multiplier = _lognormal(rng, 8.0, 0.55)
             zz_scale = 6.0
@@ -251,19 +247,19 @@ def generate_calibration(
     )
 
 
-def _distance_lookup(device: DeviceSpec):
-    """O(1) pair-distance function over the shared topology memo.
+def _link_distances(device: DeviceSpec, combinations) -> List[int]:
+    """Distance from each ``(qubit, link)`` spectator to the nearer link end.
 
-    The memoized array is fetched once (its content key costs O(edges) to
-    build) and closed over; disconnected pairs read as ``num_qubits`` (far).
+    One numpy gather over the shared topology memo instead of two Python
+    lookups per combination (tens of thousands on the larger heavy-hex
+    devices); disconnected pairs read as ``num_qubits`` (far).
     """
     from . import topologies
 
+    if not combinations:
+        return []
     array = topologies.distance_array(device.edges, device.num_qubits)
-    far = device.num_qubits
-
-    def lookup(a: int, b: int) -> int:
-        value = array[a, b]
-        return int(value) if math.isfinite(value) else far
-
-    return lookup
+    index = np.array([(q, a, b) for q, (a, b) in combinations], dtype=np.intp)
+    nearest = np.minimum(array[index[:, 0], index[:, 1]], array[index[:, 0], index[:, 2]])
+    nearest[~np.isfinite(nearest)] = device.num_qubits
+    return nearest.astype(int).tolist()

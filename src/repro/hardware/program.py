@@ -2,9 +2,16 @@
 
 A :class:`CompiledNoisyProgram` is everything about one scheduled circuit on
 one backend that is invariant across executions: the active-qubit set and
-output resolution, the time-ordered event template with gate unitaries and
-noise channels pre-resolved into engine-ready tensors, and the memoized
-idle-window *variants* (unprotected, or protected by one DD protocol).
+output resolution, the time-ordered event template of gate unitaries and
+noise-channel descriptions, and the memoized idle-window *variants*
+(unprotected, or protected by one DD protocol).
+
+Compiling does no dense lowering.  Each :class:`ResolvedOp` keeps only its
+channel description (unitary, Kraus stack or Gaussian std); the forms an
+engine needs are built on that engine's first demand and memoized on the
+op: the superoperator for ``density_matrix``, the mixed-unitary
+decomposition for ``trajectories`` and the Pauli twirl for the stabilizer
+engines.  Shared ops (the resolved-op memo) share those forms too.
 
 Both the sequential :class:`~repro.hardware.execution.NoisyExecutor` and the
 batched :class:`~repro.hardware.batch.BatchExecutor` compile circuits into
@@ -94,12 +101,22 @@ def _cached_rotation(kind: str, angle: float) -> np.ndarray:
     )
 
 
+#: Cumulative counts of dense lowerings done on demand by the engines.
+_LOWERING_STATS: Dict[str, int] = {"superops_built": 0, "mixed_forms_built": 0}
+
+
 def process_cache_stats() -> Dict[str, int]:
-    """Sizes of the process-level caches (useful for diagnostics/tests)."""
+    """Sizes of the process-level caches and counts of on-demand lowerings.
+
+    ``superops_built`` / ``mixed_forms_built`` count superoperators and
+    mixed-unitary decompositions built since the process started (useful for
+    diagnostics/tests: a stabilizer run should build neither).
+    """
     return {
         "gate_matrices": len(_GATE_MATRIX_CACHE),
         "rotations": len(_ROTATION_CACHE),
         "resolved_ops": len(_RESOLVED_OP_CACHE),
+        **_LOWERING_STATS,
     }
 
 
@@ -145,14 +162,21 @@ def mixed_unitary_form(
 
 @dataclass
 class ResolvedOp:
-    """A noise/gate operation pre-resolved into engine-ready tensors.
+    """A gate or noise operation as a channel description on active positions.
 
-    ``superop`` is the channel's superoperator ``sum_m K_m (x) conj(K_m)``
-    reshaped into a ``(2,)*(4k)`` tensor whose legs are ordered
-    ``(row_out..., col_out..., row_in..., col_in...)``: the density-matrix
-    engine applies any channel (unitary, Kraus, Gaussian dephasing) as ONE
-    BLAS-backed contraction over the row+col legs of the whole batch, instead
-    of one Python-level Kraus loop per job.
+    ``kind`` says which description is set: ``"unitary"`` (``tensor``, a
+    ``(2,)*2k`` operator tensor), ``"kraus"`` (``kraus_stack``, shape
+    ``(m,) + (2,)*2k``) or ``"gaussian"`` (``std``, quasi-static dephasing).
+
+    The dense forms are built on first demand and memoized on the op:
+
+    * :attr:`superop` — the superoperator ``sum_m K_m (x) conj(K_m)`` as a
+      ``(2,)*(4k)`` tensor with legs ``(row_out..., col_out..., row_in...,
+      col_in...)``, which the density-matrix engine applies as ONE
+      BLAS-backed contraction over the row+col legs of the whole batch;
+    * :attr:`mixed_cumulative` / :attr:`mixed_unitaries` — the
+      mixed-unitary decomposition the trajectory engine samples without
+      touching the statevector (``None`` when the channel has none).
 
     ``gate`` is set for program gates (the ideal circuit), ``noise`` for
     noise operations — the stabilizer engine uses them to rebuild the
@@ -164,15 +188,14 @@ class ResolvedOp:
     tensor: Optional[np.ndarray] = None        # unitary tensor (2,)*2k
     kraus_stack: Optional[np.ndarray] = None   # (m,) + (2,)*2k
     std: float = 0.0                           # gaussian_phase std-dev
-    superop: Optional[np.ndarray] = None       # (2,)*(4k) superoperator
-    # mixed-unitary decomposition for the trajectory engine:
-    mixed_cumulative: Optional[np.ndarray] = None
-    mixed_unitaries: Optional[List[Optional[np.ndarray]]] = None
     # provenance, used by the stabilizer fast path:
     gate: Optional[Gate] = None
     noise: Optional[NoiseOp] = None
     # lazily computed Pauli-twirl of the channel (probabilities, x-bits, z-bits)
     _twirl: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    # lazily built dense forms (see the properties below)
+    _superop: Optional[np.ndarray] = None
+    _mixed: Optional[Tuple[Optional[np.ndarray], Optional[List[Optional[np.ndarray]]]]] = None
 
     def kraus_matrices(self) -> List[np.ndarray]:
         """The channel's Kraus operators as plain ``(2^k, 2^k)`` matrices."""
@@ -187,6 +210,42 @@ class ResolvedOp:
             np.asarray(self.kraus_stack[i], dtype=complex).reshape(dim, dim)
             for i in range(self.kraus_stack.shape[0])
         ]
+
+    @property
+    def superop(self) -> np.ndarray:
+        """The ``(2,)*(4k)`` superoperator tensor (built on first demand)."""
+        superop = self._superop
+        if superop is None:
+            superop = _superop_tensor(self.kraus_matrices())
+            self._superop = superop
+            _LOWERING_STATS["superops_built"] += 1
+        return superop
+
+    @property
+    def mixed_cumulative(self) -> Optional[np.ndarray]:
+        """Cumulative branch probabilities of the mixed-unitary form, or ``None``."""
+        return self._mixed_form()[0]
+
+    @property
+    def mixed_unitaries(self) -> Optional[List[Optional[np.ndarray]]]:
+        """Branch unitaries (``None`` = identity) of the mixed-unitary form, or ``None``."""
+        return self._mixed_form()[1]
+
+    def _mixed_form(self):
+        mixed = self._mixed
+        if mixed is None:
+            mixed = (None, None)
+            if self.kind == "kraus":
+                _LOWERING_STATS["mixed_forms_built"] += 1
+                form = mixed_unitary_form(self.kraus_matrices())
+                if form is not None:
+                    probabilities, unitaries = form
+                    mixed = (
+                        np.cumsum(probabilities),
+                        [None if u is None else _as_op_tensor(u) for u in unitaries],
+                    )
+            self._mixed = mixed
+        return mixed
 
 
 def _as_op_tensor(matrix: np.ndarray) -> np.ndarray:
@@ -207,12 +266,11 @@ def _superop_tensor(kraus: Sequence[np.ndarray]) -> np.ndarray:
 #: Process-level memo of resolved noise ops, keyed by channel content and
 #: active-space positions.  Identical channels recur constantly (every CNOT
 #: on one link shares a depolarizing channel; idle windows repeat variants),
-#: and resolving one means building superoperator tensors — worth sharing
-#: across events AND across compiled programs.  Shared instances also share
-#: their lazily-computed Pauli twirl.  LRU-bounded: sweeps across many
-#: devices / calibration cycles produce unboundedly many distinct channels
-#: (continuous angles, per-cycle Kraus weights), and each entry carries
-#: kilobytes of tensors.
+#: so one instance is shared across events AND across compiled programs, and
+#: with it every lazily built form (superoperator, mixed-unitary form, Pauli
+#: twirl).  LRU-bounded: sweeps across many devices / calibration cycles
+#: produce unboundedly many distinct channels (continuous angles, per-cycle
+#: Kraus weights), and each entry can carry kilobytes of tensors.
 _RESOLVED_OP_CACHE: Dict[object, ResolvedOp] = {}
 _RESOLVED_OP_CACHE_MAX_ENTRIES = 8192
 
@@ -249,47 +307,21 @@ def _resolve_noise_op_uncached(op: NoiseOp, positions: Tuple[int, ...]) -> Resol
     if op.kind in ("rz", "rx"):
         matrix = _cached_rotation(op.kind, float(op.payload))
         return ResolvedOp(
-            kind="unitary",
-            positions=positions,
-            tensor=_as_op_tensor(matrix),
-            superop=_superop_tensor([matrix]),
-            noise=op,
+            kind="unitary", positions=positions, tensor=_as_op_tensor(matrix), noise=op
         )
     if op.kind == "gaussian_phase":
-        sigma = float(op.payload)
-        lam = 1.0 - math.exp(-(sigma ** 2))
-        dm_kraus = channels.phase_damping(min(1.0, lam))
-        return ResolvedOp(
-            kind="gaussian",
-            positions=positions,
-            std=sigma,
-            superop=_superop_tensor(dm_kraus),
-            noise=op,
-        )
+        return ResolvedOp(kind="gaussian", positions=positions, std=float(op.payload), noise=op)
     kraus = [np.asarray(k, dtype=complex) for k in op.payload]  # type: ignore[union-attr]
     if len(kraus) == 1:
         return ResolvedOp(
-            kind="unitary",
-            positions=positions,
-            tensor=_as_op_tensor(kraus[0]),
-            superop=_superop_tensor(kraus),
-            noise=op,
+            kind="unitary", positions=positions, tensor=_as_op_tensor(kraus[0]), noise=op
         )
-    resolved = ResolvedOp(
+    return ResolvedOp(
         kind="kraus",
         positions=positions,
         kraus_stack=np.stack([_as_op_tensor(k) for k in kraus]),
-        superop=_superop_tensor(kraus),
         noise=op,
     )
-    mixed = mixed_unitary_form(kraus)
-    if mixed is not None:
-        probabilities, unitaries = mixed
-        resolved.mixed_cumulative = np.cumsum(probabilities)
-        resolved.mixed_unitaries = [
-            None if u is None else _as_op_tensor(u) for u in unitaries
-        ]
-    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +373,7 @@ class CompiledNoisyProgram:
             positions = tuple(self.index_of[q] for q in gate.qubits)
             matrix = cached_gate_matrix(gate.name, gate.params)
             resolved = ResolvedOp(
-                kind="unitary",
-                positions=positions,
-                tensor=_as_op_tensor(matrix),
-                superop=_superop_tensor([matrix]),
-                gate=gate,
+                kind="unitary", positions=positions, tensor=_as_op_tensor(matrix), gate=gate
             )
             entries.append((scheduled.start, GATE_EVENT_PRIORITY, order, ("op", resolved)))
             order += 1

@@ -39,6 +39,16 @@ __all__ = [
 ]
 
 
+#: Single-qubit Paulis I, X, Y, Z; channels only ever return scaled copies.
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+_I, _X, _Y, _Z = _PAULIS
+
+
 class ChannelError(ValueError):
     """Raised when a channel is requested with invalid parameters."""
 
@@ -60,16 +70,17 @@ def depolarizing(p: float) -> List[np.ndarray]:
     With probability ``p`` one of X, Y, Z is applied uniformly at random.
     """
     p = _check_probability(p, "depolarizing probability")
-    i = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
     return [
-        math.sqrt(1 - p) * i,
-        math.sqrt(p / 3) * x,
-        math.sqrt(p / 3) * y,
-        math.sqrt(p / 3) * z,
+        math.sqrt(1 - p) * _I,
+        math.sqrt(p / 3) * _X,
+        math.sqrt(p / 3) * _Y,
+        math.sqrt(p / 3) * _Z,
     ]
+
+
+#: The 16 two-qubit Pauli products ``P_a (x) P_b`` in ``(a, b)`` row-major
+#: order, identity first.
+_TWO_QUBIT_PAULIS = tuple(np.kron(a, b) for a in _PAULIS for b in _PAULIS)
 
 
 @lru_cache(maxsize=4096)
@@ -78,21 +89,16 @@ def _depolarizing_two_qubit_kraus(p: float) -> Tuple[np.ndarray, ...]:
 
     A device has one two-qubit error rate per *link* but the compiler asks
     for the channel once per scheduled CNOT, so at device scale the same
-    handful of probabilities would otherwise rebuild the same 16 ``np.kron``
-    products tens of thousands of times — the single largest compile cost of
-    a 255-qubit program before this cache.
+    handful of probabilities would otherwise rebuild the same 16 Kraus
+    matrices tens of thousands of times — the single largest compile cost of
+    a 255-qubit program before this cache.  Each fresh calibration cycle
+    still brings new probabilities, so the Pauli products themselves are
+    built once per process.
     """
-    i = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    paulis = [i, x, y, z]
-    kraus: List[np.ndarray] = []
-    for a_idx, a in enumerate(paulis):
-        for b_idx, b in enumerate(paulis):
-            weight = 1 - p if (a_idx, b_idx) == (0, 0) else p / 15
-            kraus.append(math.sqrt(weight) * np.kron(a, b))
-    return tuple(kraus)
+    return tuple(
+        math.sqrt(1 - p if index == 0 else p / 15) * pauli
+        for index, pauli in enumerate(_TWO_QUBIT_PAULIS)
+    )
 
 
 def depolarizing_two_qubit(p: float) -> List[np.ndarray]:
@@ -109,17 +115,13 @@ def depolarizing_two_qubit(p: float) -> List[np.ndarray]:
 def bit_flip(p: float) -> List[np.ndarray]:
     """Bit-flip channel: X with probability ``p``."""
     p = _check_probability(p, "bit-flip probability")
-    i = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    return [math.sqrt(1 - p) * i, math.sqrt(p) * x]
+    return [math.sqrt(1 - p) * _I, math.sqrt(p) * _X]
 
 
 def phase_flip(p: float) -> List[np.ndarray]:
     """Phase-flip channel: Z with probability ``p``."""
     p = _check_probability(p, "phase-flip probability")
-    i = np.eye(2, dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return [math.sqrt(1 - p) * i, math.sqrt(p) * z]
+    return [math.sqrt(1 - p) * _I, math.sqrt(p) * _Z]
 
 
 def amplitude_damping(gamma: float) -> List[np.ndarray]:

@@ -4,17 +4,21 @@ Every execution path — the sequential :class:`~repro.hardware.execution.NoisyE
 facade and the batched :class:`~repro.hardware.batch.BatchExecutor` — routes
 through the engines registered here.  An engine consumes a
 :class:`~repro.hardware.program.CompiledNoisyProgram` (the shared event
-template with pre-resolved operators) plus per-job window variants, and
+template of channel descriptions) plus per-job window variants, and
 returns one active-space probability vector per job.
 
 Four engines are registered by default:
 
 * ``"density_matrix"`` — exact mixed-state evolution; channels are applied as
-  precomputed superoperators, one BLAS-backed contraction over the whole
-  stacked batch per event.
+  superoperators, one BLAS-backed contraction over the whole stacked batch
+  per event.  The superoperators are built on this engine's first demand
+  (the compile step does not build them) and lowered with their state axes
+  once per program.
 * ``"trajectories"`` — vectorized Monte-Carlo unravelling on statevectors;
   every trajectory draws from its own seeded stream via the single-uniform
   :func:`choose_branch` protocol, making results independent of batching.
+  Mixed-unitary channels are sampled from their decomposition, built on
+  this engine's first demand.
 * ``"stabilizer"`` — the Clifford fast path: when every gate of the compiled
   program is exactly representable on the CHP tableau (Clifford decoys, the
   Figure 8 exhaustive-DD sweep), the ideal output distribution is computed on
@@ -316,30 +320,42 @@ class DensityMatrixEngine(ExecutionEngine):
         state = np.zeros((J,) + (2,) * (2 * n), dtype=complex)
         state[(slice(None),) + (0,) * (2 * n)] = 1.0
 
-        def apply_op(target: np.ndarray, op) -> np.ndarray:
-            rows = [1 + p for p in op.positions]
-            cols = [1 + n + p for p in op.positions]
-            return _apply_operator(target, op.superop, rows + cols)
+        # The template is lowered to (superoperator, row+col axes) pairs once
+        # per program, each window variant once per (window, variant).
+        lowered = program.engine_cache.get(self.name)
+        if lowered is None:
+            lowered = {
+                "template": [
+                    (kind, self._lower(payload, n) if kind == "op" else payload)
+                    for kind, payload in program.template
+                ],
+                "windows": {},
+            }
+            program.engine_cache[self.name] = lowered
+        lowered_windows = lowered["windows"]
 
-        for kind, payload in program.template:
+        for kind, payload in lowered["template"]:
             if kind == "op":
-                state = apply_op(state, payload)
+                state = _apply_operator(state, *payload)
                 continue
             widx: int = payload
             for variant, members in _window_groups(jobs, widx).items():
-                ops = program.window_ops(widx, variant)
+                ops = lowered_windows.get((widx, variant))
+                if ops is None:
+                    ops = [self._lower(op, n) for op in program.window_ops(widx, variant)]
+                    lowered_windows[(widx, variant)] = ops
                 if not ops:
                     continue
                 if stats is not None:
                     stats["window_variants"] = stats.get("window_variants", 0) + 1
                 if len(members) == J:
-                    for op in ops:
-                        state = apply_op(state, op)
+                    for superop, axes in ops:
+                        state = _apply_operator(state, superop, axes)
                 else:
                     index = np.array(members)
                     sub = state[index]
-                    for op in ops:
-                        sub = apply_op(sub, op)
+                    for superop, axes in ops:
+                        sub = _apply_operator(sub, superop, axes)
                     state[index] = sub
 
         # Diagonal, clipped and renormalised exactly like
@@ -355,6 +371,13 @@ class DensityMatrixEngine(ExecutionEngine):
                 raise SimulationError("density matrix has vanished (all-zero diagonal)")
             results.append(diag[j] / total)
         return results
+
+    @staticmethod
+    def _lower(op, n: int) -> Tuple[np.ndarray, List[int]]:
+        """One op as its superoperator plus the (batched) row+col state axes."""
+        rows = [1 + p for p in op.positions]
+        cols = [1 + n + p for p in op.positions]
+        return op.superop, rows + cols
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,24 @@ class TestCalibration:
         assert set(calibration.qubits) == set(range(device.num_qubits))
         assert len(calibration.links) == len(device.edges)
 
+    @pytest.mark.parametrize(
+        "name, cycle, expected",
+        [
+            ("ibm_washington", 0, "dd73dd649c78a34387fc365bf7058319f52f0365aea2e6734eaed897c8f08890"),
+            ("ibm_washington", 7, "52e66994e87e20961e0f97c0a95e2af101d3305adfbc169359105691595d966d"),
+            ("heavy_hex:3", 0, "c887a4f189cc75bb307f47c9bc9993267b8d13810231f86b914728692af6d6bb"),
+            ("heavy_hex:3", 7, "64667c5174897c8b741687a49ae7cc120720adbe4357b80e653e0e38dc8eb9ae"),
+        ],
+    )
+    def test_device_scale_content_is_pinned(self, name, cycle, expected):
+        """Recorded fingerprints: any change to the generator's draw order,
+        draw calls or crosstalk distance classes changes these (and with them
+        every store key of these devices)."""
+        from repro.store import calibration_fingerprint
+
+        calibration = generate_calibration(get_device(name), cycle=cycle)
+        assert calibration_fingerprint(calibration) == expected
+
 
 class TestBackend:
     def test_from_name_and_repr(self):
